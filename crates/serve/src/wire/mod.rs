@@ -37,33 +37,32 @@ pub enum WireVersion {
 
 /// Serializes one request in `version` framing and flushes.
 pub fn write_request<W: Write>(w: &mut W, req: &Request, version: WireVersion) -> Result<()> {
-    let mut buf = Vec::with_capacity(128);
-    match version {
-        WireVersion::V1Json => {
-            v1::encode_request(req, &mut buf);
-            buf.push(b'\n');
-            w.write_all(&buf)?;
-        }
-        WireVersion::V2Binary => {
-            v2::encode_request(req, &mut buf);
-            frame::write_frame(w, &buf).map_err(ServeError::from)?;
-        }
-    }
-    w.flush()?;
-    Ok(())
+    write_message(w, req, version, v1::encode_request, v2::encode_request)
 }
 
 /// Serializes one response in `version` framing and flushes.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, version: WireVersion) -> Result<()> {
+    write_message(w, resp, version, v1::encode_response, v2::encode_response)
+}
+
+/// Encodes `msg` and hands the whole message to `w` in one `write_all`, in
+/// both protocols: each `write` on a `TCP_NODELAY` socket is a segment.
+fn write_message<W: Write, T>(
+    w: &mut W,
+    msg: &T,
+    version: WireVersion,
+    encode_v1: fn(&T, &mut Vec<u8>),
+    encode_v2: fn(&T, &mut Vec<u8>),
+) -> Result<()> {
     let mut buf = Vec::with_capacity(128);
     match version {
         WireVersion::V1Json => {
-            v1::encode_response(resp, &mut buf);
+            encode_v1(msg, &mut buf);
             buf.push(b'\n');
             w.write_all(&buf)?;
         }
         WireVersion::V2Binary => {
-            v2::encode_response(resp, &mut buf);
+            encode_v2(msg, &mut buf);
             frame::write_frame(w, &buf).map_err(ServeError::from)?;
         }
     }
@@ -167,7 +166,180 @@ pub fn read_bounded_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, limit: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ALL_ENDPOINTS;
+    use crate::protocol::{Fix, SiteInfo, StatsReport};
     use std::io::BufReader;
+    use taf_linalg::Matrix;
+    use taf_rfsim::{campaign, World, WorldConfig};
+    use tafloc_core::db::FingerprintDb;
+    use tafloc_core::system::{TafLoc, TafLocConfig};
+    use tafloc_ingest::{BatchReport, LinkSample};
+
+    /// Counts `write` calls; on a `TCP_NODELAY` socket each one is a segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One request per endpoint.
+    fn every_request() -> Vec<Request> {
+        let world = World::new(WorldConfig::small_test(), 97);
+        let db =
+            FingerprintDb::from_world(campaign::full_calibration(&world, 0.0, 6), &world).unwrap();
+        let empty = campaign::empty_snapshot(&world, 0.0, 6);
+        let config = TafLocConfig { ref_count: 6, ..Default::default() };
+        let snapshot = TafLoc::calibrate(config, db, empty).unwrap().snapshot();
+        let site = || "lab".to_string();
+        let y = vec![-52.1, -48.7];
+        let reqs = vec![
+            Request::AddSite { site: site(), snapshot: Box::new(snapshot), day: 1.5, policy: None },
+            Request::RemoveSite { site: site() },
+            Request::ListSites,
+            Request::Locate { site: site(), y: y.clone() },
+            Request::LocateStream { site: site() },
+            Request::LocateBatch { site: site(), ys: vec![y.clone(), vec![]] },
+            Request::Ingest {
+                site: site(),
+                ref_cell: Some(3),
+                day: 2.0,
+                samples: vec![LinkSample { link: 1, t_s: 0.5, rss_dbm: -60.0 }],
+            },
+            Request::Track { site: site(), stream: "cart".into(), y: y.clone(), dt_s: 0.5 },
+            Request::Detect { site: site(), stream: "door".into(), y },
+            Request::MeasureRefs {
+                site: site(),
+                day: 3.0,
+                columns: Matrix::from_vec(2, 2, vec![-50.0, -51.0, -52.0, -53.0]).unwrap(),
+                empty: vec![-70.0, -71.0],
+            },
+            Request::Refresh { site: site() },
+            Request::Stats,
+            Request::Ping,
+            Request::Shutdown,
+        ];
+        for e in ALL_ENDPOINTS {
+            assert!(reqs.iter().any(|r| r.endpoint() == e), "no {} request", e.name());
+        }
+        reqs
+    }
+
+    /// One response per variant; the match fails to compile when a variant
+    /// is added without a case here.
+    fn every_response() -> Vec<Response> {
+        let report = StatsReport {
+            uptime_s: 2.5,
+            conn_timeouts: 1,
+            conn_resets: 0,
+            conn_panics: 0,
+            wire_frame_too_large: 0,
+            wire_bad_magic: 0,
+            wire_checksum_mismatch: 1,
+            wire_bad_utf8: 0,
+            wire_malformed: 0,
+            endpoints: crate::metrics::Metrics::default().report(),
+            sites: vec![],
+            shards: vec![],
+        };
+        let resps = vec![
+            Response::Error { message: "unknown site".into() },
+            Response::SiteAdded { site: "lab".into(), links: 12, cells: 16 },
+            Response::SiteRemoved { site: "lab".into() },
+            Response::Sites {
+                sites: vec![SiteInfo { site: "lab".into(), links: 12, cells: 16, version: 3 }],
+            },
+            Response::Located { cell: 4, x: 3.9, y: 5.1, distance_db: 2.31, version: 1 },
+            Response::StreamLocated {
+                cell: 7,
+                x: 0.5,
+                y: 1.5,
+                distance_db: 4.75,
+                version: 2,
+                missing_links: vec![1],
+                stale_links: vec![],
+                stream_t_s: 12.25,
+                window_samples: 240,
+            },
+            Response::LocatedBatch {
+                fixes: vec![Fix { cell: 1, x: 0.0, y: 0.0, distance_db: 1.5 }],
+                version: 4,
+            },
+            Response::Ingested { report: BatchReport { accepted: 10, ..Default::default() } },
+            Response::Tracked { x: 2.25, y: 3.5, effective_sample_size: 480.5 },
+            Response::Detected { present: true, detail: "cusum".into() },
+            Response::RefsAccepted { recommendation: "healthy".into(), estimated_error_db: 0.5 },
+            Response::Refreshed {
+                iterations: 12,
+                converged: true,
+                mean_abs_change_db: 0.75,
+                version: 5,
+            },
+            Response::Stats { report },
+            Response::Pong,
+            Response::ShuttingDown,
+            Response::Overloaded {
+                site: "lab".into(),
+                shard: 0,
+                reason: "deferred".into(),
+                retry_after_ms: 25,
+            },
+        ];
+        let variant = |r: &Response| match r {
+            Response::Error { .. } => 0,
+            Response::SiteAdded { .. } => 1,
+            Response::SiteRemoved { .. } => 2,
+            Response::Sites { .. } => 3,
+            Response::Located { .. } => 4,
+            Response::StreamLocated { .. } => 5,
+            Response::LocatedBatch { .. } => 6,
+            Response::Ingested { .. } => 7,
+            Response::Tracked { .. } => 8,
+            Response::Detected { .. } => 9,
+            Response::RefsAccepted { .. } => 10,
+            Response::Refreshed { .. } => 11,
+            Response::Stats { .. } => 12,
+            Response::Pong => 13,
+            Response::ShuttingDown => 14,
+            Response::Overloaded { .. } => 15,
+        };
+        assert!(resps.iter().map(variant).eq(0..16), "one response per variant, in order");
+        resps
+    }
+
+    #[test]
+    fn every_message_is_one_write_in_both_versions() {
+        for version in [WireVersion::V1Json, WireVersion::V2Binary] {
+            for req in every_request() {
+                let mut w = CountingWriter::default();
+                write_request(&mut w, &req, version).unwrap();
+                assert_eq!(w.writes, 1, "{version:?} {:?}", req.endpoint());
+                let mut ver = WireVersion::V1Json;
+                let back = read_request(&mut BufReader::new(&w.bytes[..]), &mut ver).unwrap();
+                assert_eq!(back.map(|r| r.endpoint()), Some(req.endpoint()));
+                assert_eq!(ver, version);
+            }
+            for resp in every_response() {
+                let mut w = CountingWriter::default();
+                write_response(&mut w, &resp, version).unwrap();
+                assert_eq!(w.writes, 1, "{version:?} {resp:?}");
+                let mut ver = WireVersion::V1Json;
+                let back = read_response(&mut BufReader::new(&w.bytes[..]), &mut ver).unwrap();
+                assert!(back.is_some(), "{version:?} {resp:?} reads back");
+                assert_eq!(ver, version);
+            }
+        }
+    }
 
     #[test]
     fn bounded_reader_enforces_the_cap_and_stays_framed() {

@@ -63,17 +63,20 @@ pub fn sniff<R: BufRead + ?Sized>(r: &mut R) -> std::io::Result<Sniff> {
     }
 }
 
-/// Writes one complete v2 frame (header, payload, checksum).
+/// Writes one complete v2 frame (header, payload, checksum) with a single
+/// `write_all`.
 ///
-/// The caller flushes; a client typically batches a frame per request.
+/// The frame is assembled in one buffer first: on a `TCP_NODELAY` socket
+/// every `write` leaves as its own segment, so writing the three parts
+/// separately would cost three segments per message. The caller flushes.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<()> {
-    let mut head = Vec::with_capacity(2 + MAX_UVARINT_BYTES);
-    head.push(V2_SNIFF);
-    head.push(V2_VERSION);
-    put_uvarint(&mut head, payload.len() as u64);
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    let mut buf = Vec::with_capacity(2 + MAX_UVARINT_BYTES + payload.len() + 4);
+    buf.push(V2_SNIFF);
+    buf.push(V2_VERSION);
+    put_uvarint(&mut buf, payload.len() as u64);
+    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+    w.write_all(&buf)?;
     Ok(())
 }
 
@@ -132,6 +135,38 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, payload).unwrap();
         out
+    }
+
+    /// Counts `write` calls; on a `TCP_NODELAY` socket each one is a segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_header_payload_and_checksum() {
+        for payload in [&b""[..], b"x", &[0x5Au8; 300]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            let mut want = vec![V2_SNIFF, V2_VERSION];
+            put_uvarint(&mut want, payload.len() as u64);
+            want.extend_from_slice(payload);
+            want.extend_from_slice(&crc32(payload).to_le_bytes());
+            assert_eq!(w.bytes, want, "{}-byte payload", payload.len());
+        }
     }
 
     #[test]

@@ -11,6 +11,10 @@
 # deliberately loose, and BENCH_GATE_THRESHOLD can be raised for a known-slow
 # runner. A *faster* machine trivially passes; the gate only catches changes
 # that make the solver substantially slower on comparable hardware.
+#
+# It also fails when a fresh serve_bench run serves v2 locate slower than v1
+# locate (see the serve section below); everything else it checks
+# only warns.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,10 +92,15 @@ if [ -n "$cold_iters" ] && [ -n "$warm_iters" ]; then
 fi
 
 # ---------------------------------------------------------------------------
-# Serve-throughput gate (warn-only): re-runs serve_bench --quick and warns if
-# v1 or v2 locate throughput drops below baseline/threshold. Throughput on a
-# loaded CI runner is far noisier than solver wall time, so this never fails
-# the build — it exists to make wire-protocol regressions visible in the log.
+# Serve-throughput gate: re-runs serve_bench in the full profile the committed
+# baseline records (~2 s; --quick's 800 requests per phase are too few to rank
+# v1 against v2). Hard failure when the fresh run's v2 locate throughput is
+# below the same run's v1 locate throughput: v2's codec is far cheaper than
+# v1's JSON, so v2 losing means its transport regressed (e.g. a frame split
+# over several socket writes). Comparing within one run cancels host-speed
+# swings. Against the committed baseline it only warns when v1 or v2 drops
+# below baseline/threshold: absolute throughput on a loaded CI runner is far
+# noisier than solver wall time.
 # ---------------------------------------------------------------------------
 
 serve_baseline=BENCH_serve.json
@@ -99,17 +108,20 @@ serve_baseline=BENCH_serve.json
 # contains digits ("v1_...") that would otherwise prefix the value.
 field() { grep -m1 "\"$2\"" "$1" | sed 's/.*: *//' | tr -cd '0-9.'; }
 
-if [ ! -f "$serve_baseline" ] || ! grep -q '"v1_locate_req_per_s"' "$serve_baseline"; then
-  echo "bench_gate: no serve throughput baseline — creating one with serve_bench --quick"
-  cargo run --release -p taf-bench --bin serve_bench -- --quick
-else
+old_v1=""
+old_v2=""
+if [ -f "$serve_baseline" ] && grep -q '"v1_locate_req_per_s"' "$serve_baseline"; then
   old_v1="$(field "$serve_baseline" v1_locate_req_per_s)"
   old_v2="$(field "$serve_baseline" v2_locate_req_per_s)"
   echo "bench_gate: committed serve throughput: v1 ${old_v1} req/s, v2 ${old_v2} req/s (warn below /${threshold})"
-  cargo run --release -p taf-bench --bin serve_bench -- --quick
-  new_v1="$(field "$serve_baseline" v1_locate_req_per_s)"
-  new_v2="$(field "$serve_baseline" v2_locate_req_per_s)"
-  echo "bench_gate: fresh serve throughput: v1 ${new_v1} req/s, v2 ${new_v2} req/s"
+else
+  echo "bench_gate: no serve throughput baseline — serve_bench creates one"
+fi
+cargo run --release -p taf-bench --bin serve_bench
+new_v1="$(field "$serve_baseline" v1_locate_req_per_s)"
+new_v2="$(field "$serve_baseline" v2_locate_req_per_s)"
+echo "bench_gate: fresh serve throughput: v1 ${new_v1} req/s, v2 ${new_v2} req/s"
+if [ -n "$old_v1" ]; then
   for proto in v1 v2; do
     old_var="old_$proto"; new_var="new_$proto"
     if awk -v new="${!new_var}" -v old="${!old_var}" -v t="$threshold" \
@@ -120,6 +132,13 @@ else
            "${!new_var} req/s < ${!old_var} req/s / ${threshold}" >&2
     fi
   done
+fi
+if awk -v v2="${new_v2:-0}" -v v1="${new_v1:-0}" 'BEGIN { exit !(v1 > 0 && v2 >= v1) }'; then
+  echo "bench_gate: serve v2 >= v1 OK (${new_v2} vs ${new_v1} locate req/s, same run)"
+else
+  echo "bench_gate: FAIL — v2 locate throughput ${new_v2} req/s is below v1's" \
+       "${new_v1} req/s in the same run; check v2 framing (one write per message)" >&2
+  exit 1
 fi
 
 # ---------------------------------------------------------------------------

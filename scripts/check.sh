@@ -65,6 +65,12 @@ cargo test -q --release -p tafloc-serve --test restart
 echo "==> cargo test -q --release -p tafloc-serve --test store_robustness  (corruption proptests)"
 cargo test -q --release -p tafloc-serve --test store_robustness
 
+# livebench is a cargo workspace of its own, so the workspace runs above
+# never build it; its mutation tests feed each benchmark check one altered
+# reply and assert the check fails.
+echo "==> cargo test -q --offline --manifest-path livebench/Cargo.toml  (benchmark checks)"
+cargo test -q --offline --manifest-path livebench/Cargo.toml
+
 echo "==> cargo test -q -p taf-plan --no-default-features  (planner)"
 cargo test -q -p taf-plan --no-default-features
 
