@@ -34,7 +34,7 @@
 //! canonical golden-file JSON form; CI's bench-smoke job re-generates the file
 //! in `--quick` mode and uploads it as an artifact.
 //!
-//! Usage: `cargo run --release -p taf-bench --bin ingest_bench [--quick] [threads] [epochs_per_thread] [batch]`
+//! Usage: `cargo run --release -p taf-bench --bin ingest_bench [--quick] [--out PATH] [threads] [epochs_per_thread] [batch]`
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,12 +75,11 @@ fn clock_resolution_s() -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
-    let threads: usize = args.next().map_or(4, |v| v.parse().expect("threads"));
-    let epochs: usize =
-        args.next().map_or(if quick { 5 } else { 50 }, |v| v.parse().expect("epochs"));
-    let batch: usize = args.next().map_or(256, |v| v.parse().expect("batch"));
+    let args = perf::BenchArgs::from_env();
+    let quick = args.quick;
+    let threads: usize = args.positional_or(0, 4);
+    let epochs: usize = args.positional_or(1, if quick { 5 } else { 50 });
+    let batch: usize = args.positional_or(2, 256);
     assert!(batch > 0, "batch must be > 0");
 
     // The paper-scale deployment, streaming fast enough to be a load test.
@@ -519,6 +518,6 @@ fn main() {
             ]),
         ),
     ]);
-    let path = perf::write_bench_json("ingest", &report);
+    let path = perf::write_bench_json("ingest", &report, args.out.as_deref());
     println!("wrote {}", path.display());
 }

@@ -23,7 +23,7 @@
 //! `BENCH_serve.json` at the repo root in the canonical golden-file JSON
 //! form; CI's bench-smoke job re-generates the file in `--quick` mode.
 //!
-//! Usage: `cargo run --release -p taf-bench --bin serve_bench [--quick] [threads] [requests_per_thread] [workers]`
+//! Usage: `cargo run --release -p taf-bench --bin serve_bench [--quick] [--out PATH] [threads] [requests_per_thread] [workers]`
 
 use std::time::Instant;
 use taf_bench::perf;
@@ -126,13 +126,11 @@ fn batch_phase(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
-    let default_per_thread = if quick { 200 } else { 2000 };
-    let threads: usize = args.next().map_or(4, |v| v.parse().expect("threads"));
-    let per_thread: usize =
-        args.next().map_or(default_per_thread, |v| v.parse().expect("requests"));
-    let workers: usize = args.next().map_or(threads, |v| v.parse().expect("workers"));
+    let args = perf::BenchArgs::from_env();
+    let quick = args.quick;
+    let threads: usize = args.positional_or(0, 4);
+    let per_thread: usize = args.positional_or(1, if quick { 200 } else { 2000 });
+    let workers: usize = args.positional_or(2, threads);
 
     let world = World::new(WorldConfig::paper_default(), 7);
     let x0 = campaign::full_calibration(&world, 0.0, 50);
@@ -388,6 +386,6 @@ fn main() {
     ];
     report.extend(results);
     report.push(("server_latency".into(), Json::Arr(latency)));
-    let path = perf::write_bench_json("serve", &Json::Obj(report));
+    let path = perf::write_bench_json("serve", &Json::Obj(report), args.out.as_deref());
     println!("wrote {}", path.display());
 }

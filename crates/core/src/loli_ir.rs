@@ -415,7 +415,7 @@ fn compute_diagnostics(
 ) -> Result<ReconstructionDiagnostics> {
     let (m, n) = problem.observed.shape();
     let r = rf.cols();
-    let SolverWorkspace { scratch, gram, xh, .. } = ws;
+    let SolverWorkspace { scratch, sweep: SweepBuffers { gram, .. }, xh, .. } = ws;
 
     // Residuals of the reconstruction against the observed entries. `xh`
     // holds the final `L·Rᵀ` (the last objective evaluation wrote it).
@@ -554,8 +554,6 @@ struct RowScratch {
     sol: Vec<f64>,
     /// Edge direction buffer (`r_j − r_{j'}` resp. `l_i − l_{i'}`).
     dir: Vec<f64>,
-    /// Copy slot for the fixed other-endpoint factor row.
-    other: Vec<f64>,
     /// Failure raised by this slot's solve, if any (checked at scatter time).
     status: Option<LinalgError>,
 }
@@ -568,7 +566,6 @@ impl RowScratch {
             rhs: vec![0.0; r],
             sol: vec![0.0; r],
             dir: vec![0.0; r],
-            other: vec![0.0; r],
             status: None,
         }
     }
@@ -580,27 +577,12 @@ impl RowScratch {
 /// problem does and are reused verbatim otherwise, which makes steady-state
 /// solver iterations allocation-free. `SolverWorkspace::new()` itself
 /// allocates nothing — buffers appear on first use.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SolverWorkspace {
     scratch: Vec<RowScratch>,
-    gram: Matrix,
+    sweep: SweepBuffers,
     xh: Matrix,
     trace: Vec<f64>,
-    /// Closed-form accumulator for the fully-active location edges of one
-    /// L-sweep: `α Σ (r_j − r_{j'})(r_j − r_{j'})ᵀ` (lower triangle).
-    loc_lhs: Matrix,
-    /// Closed-form accumulator for the fully-active link edges of one R-sweep:
-    /// `β Σ (l_i − l_{i'})(l_i − l_{i'})ᵀ` (lower triangle).
-    link_lhs: Matrix,
-    /// Right-hand-side companion of `link_lhs`: `β Σ δ_{ii'} (l_i − l_{i'})`.
-    link_rhs: Vec<f64>,
-    /// Column sums of `R` (`Σ_j r_j`) for the baseline-offset part of the
-    /// fully-active similarity right-hand sides.
-    rsum: Vec<f64>,
-    /// Prior right-hand sides: `P·R` (`m x r`) for the L-step…
-    prior_l: Matrix,
-    /// …and `Lᵀ·P` (`r x n`) for the R-step.
-    prior_r: Matrix,
     /// Pre-sweep factor snapshots for the acceleration step (sized only when
     /// `accelerate` is on).
     prev_l: Matrix,
@@ -610,54 +592,74 @@ pub struct SolverWorkspace {
     xh_alt: Matrix,
 }
 
+/// What every block solve of one half-sweep reads, built once per
+/// half-sweep from the factor held fixed (`R` in the L-step, `L` in the
+/// R-step).
+#[derive(Debug, Default)]
+struct SweepBuffers {
+    /// `RᵀR` in the L-step, `LᵀL` in the R-step.
+    gram: Matrix,
+    /// Closed-form accumulator for the fully-active location edges of one
+    /// L-step: `α Σ (r_j − r_{j'})(r_j − r_{j'})ᵀ` (lower triangle).
+    loc_lhs: Matrix,
+    /// Closed-form accumulator for the fully-active link edges of one R-step:
+    /// `β Σ (l_i − l_{i'})(l_i − l_{i'})ᵀ` (lower triangle).
+    link_lhs: Matrix,
+    /// Right-hand-side companion of `link_lhs`: `β Σ δ_{ii'} (l_i − l_{i'})`.
+    link_rhs: Vec<f64>,
+    /// Per location edge, for the R-step: `α Σ_{i∈S_e} l_i l_iᵀ` over the
+    /// edge's active links, one full symmetric `r x r` block per edge.
+    loc_gram: Vec<f64>,
+    /// Per link edge, for the L-step: `β Σ_{j∈C_e} r_j r_jᵀ` over the edge's
+    /// active cells, one `r x r` block per edge…
+    link_gram: Vec<f64>,
+    /// …and `β Σ_{j∈C_e} r_j`, one length-`r` block per edge.
+    link_sum: Vec<f64>,
+    /// Prior right-hand sides: `P·R` (`m x r`) for the L-step…
+    prior_l: Matrix,
+    /// …and `Lᵀ·P` (`r x n`) for the R-step.
+    prior_r: Matrix,
+}
+
 impl SolverWorkspace {
     /// Creates an empty workspace; buffers are allocated lazily by the solver.
     pub fn new() -> Self {
-        SolverWorkspace {
-            scratch: Vec::new(),
-            gram: Matrix::zeros(0, 0),
-            xh: Matrix::zeros(0, 0),
-            trace: Vec::new(),
-            loc_lhs: Matrix::zeros(0, 0),
-            link_lhs: Matrix::zeros(0, 0),
-            link_rhs: Vec::new(),
-            rsum: Vec::new(),
-            prior_l: Matrix::zeros(0, 0),
-            prior_r: Matrix::zeros(0, 0),
-            prev_l: Matrix::zeros(0, 0),
-            prev_r: Matrix::zeros(0, 0),
-            xh_alt: Matrix::zeros(0, 0),
-        }
+        SolverWorkspace::default()
     }
 
-    /// Grows the buffers to fit an `m x n` rank-`r` problem; a no-op (and
-    /// allocation-free) when they already fit.
-    fn ensure(&mut self, m: usize, n: usize, r: usize, max_iters: usize, accelerate: bool) {
+    /// Grows the buffers to fit an `m x n` rank-`r` problem with `edges`; a
+    /// no-op (and allocation-free) when they already fit.
+    fn ensure(
+        &mut self,
+        (m, n, r): (usize, usize, usize),
+        edges: &EdgeSets,
+        max_iters: usize,
+        accelerate: bool,
+    ) {
         let slots = m.max(n);
         let slots_fit =
             self.scratch.len() >= slots && self.scratch.first().is_some_and(|s| s.rhs.len() == r);
         if !slots_fit {
             self.scratch = (0..slots).map(|_| RowScratch::new(r)).collect();
         }
-        for sq in [&mut self.gram, &mut self.loc_lhs, &mut self.link_lhs] {
+        let b = &mut self.sweep;
+        for sq in [&mut b.gram, &mut b.loc_lhs, &mut b.link_lhs] {
             if sq.shape() != (r, r) {
                 *sq = Matrix::zeros(r, r);
             }
         }
-        if self.link_rhs.len() != r {
-            self.link_rhs = vec![0.0; r];
+        b.link_rhs.resize(r, 0.0);
+        b.loc_gram.resize(edges.location.len() * r * r, 0.0);
+        b.link_gram.resize(edges.link.len() * r * r, 0.0);
+        b.link_sum.resize(edges.link.len() * r, 0.0);
+        if b.prior_l.shape() != (m, r) {
+            b.prior_l = Matrix::zeros(m, r);
         }
-        if self.rsum.len() != r {
-            self.rsum = vec![0.0; r];
+        if b.prior_r.shape() != (r, n) {
+            b.prior_r = Matrix::zeros(r, n);
         }
         if self.xh.shape() != (m, n) {
             self.xh = Matrix::zeros(m, n);
-        }
-        if self.prior_l.shape() != (m, r) {
-            self.prior_l = Matrix::zeros(m, r);
-        }
-        if self.prior_r.shape() != (r, n) {
-            self.prior_r = Matrix::zeros(r, n);
         }
         if accelerate {
             if self.prev_l.shape() != (m, r) {
@@ -672,12 +674,6 @@ impl SolverWorkspace {
         }
         self.trace.clear();
         self.trace.reserve(max_iters + 1);
-    }
-}
-
-impl Default for SolverWorkspace {
-    fn default() -> Self {
-        SolverWorkspace::new()
     }
 }
 
@@ -715,101 +711,269 @@ fn baseline_delta(problem: &ReconstructionProblem<'_>, i: usize, i2: usize) -> f
     problem.empty_rss.map_or(0.0, |e| e[i] - e[i2])
 }
 
-/// Evaluates the LoLi-IR objective at `(L, R)`, writing `L·Rᵀ` into `xh`.
-fn objective(
-    problem: &ReconstructionProblem<'_>,
-    edges: &EdgeSets,
-    config: &LoliIrConfig,
+/// The fixed structure of one solve, built once and walked by every sweep:
+/// the edge lists, the observed entries and edge incidences as index lists,
+/// and the color classes of both half-sweeps.
+struct Sweeps<'a> {
+    problem: &'a ReconstructionProblem<'a>,
+    config: &'a LoliIrConfig,
+    /// Weight of the prior term: `config.mu`, or zero without a prior.
     mu: f64,
-    l: &Matrix,
-    rf: &Matrix,
-    xh: &mut Matrix,
-) -> Result<f64> {
-    l.matmul_nt_into(rf, xh)?;
-    let mut f = config.lambda * (l.frobenius_norm().powi(2) + rf.frobenius_norm().powi(2));
-    for (i, j) in problem.mask.true_positions() {
-        let d = xh[(i, j)] - problem.observed[(i, j)];
-        f += d * d;
+    edges: EdgeSets,
+    /// Observed column indices per row (CSR-style; replaces per-entry mask probes).
+    row_obs: Vec<Vec<usize>>,
+    /// Observed row indices per column.
+    col_obs: Vec<Vec<usize>>,
+    /// Link edges incident to each row (fully-active and not).
+    row_edges: Vec<Vec<usize>>,
+    /// Location edges with a *partial* active set containing each row; the
+    /// fully-active ones are folded into `loc_lhs` once per sweep.
+    row_loc_edges: Vec<Vec<usize>>,
+    /// Location edges incident to each column (fully-active and not).
+    col_edges: Vec<Vec<usize>>,
+    /// Link edges with a *partial* active set containing each column; the
+    /// fully-active ones are folded into `link_lhs`/`link_rhs` once per sweep.
+    col_link_edges: Vec<Vec<usize>>,
+    /// Color classes of the L-step (rows) and R-step (columns).
+    row_classes: Vec<Vec<usize>>,
+    col_classes: Vec<Vec<usize>>,
+    /// Whether some location (resp. link) edge is fully active, with its
+    /// term switched on.
+    has_full_loc: bool,
+    has_full_link: bool,
+}
+
+impl<'a> Sweeps<'a> {
+    fn new(problem: &'a ReconstructionProblem<'a>, config: &'a LoliIrConfig) -> Self {
+        let (m, n) = problem.observed.shape();
+        // The LRR term only exists when a prior was supplied; otherwise its
+        // weight in the normal equations must vanish too (a bare `mu * RᵀR` on
+        // the left-hand side with no matching right-hand side would shrink X̂
+        // toward zero).
+        let mu = if problem.lrr_prior.is_some() { config.mu } else { 0.0 };
+        let edges = build_edge_sets(problem);
+
+        let mut row_obs: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut col_obs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, j) in problem.mask.true_positions() {
+            row_obs[i].push(j);
+            col_obs[j].push(i);
+        }
+
+        // Both smoothness terms depend on *both* factors: a similarity edge
+        // (i, i') constrains rows i, i' of L and every active column of R; a
+        // continuity edge (j, j') constrains columns j, j' of R and every
+        // active row of L. For each block solve to be an exact minimization
+        // (and the objective therefore monotone), every term touching the
+        // variable must enter its normal equations — so the edges are indexed
+        // from all four directions. The "every active row/column" directions
+        // list only the *partial* edges; the fully-active ones enter through
+        // the shared closed-form accumulators.
+        let mut row_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut col_link_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (k, (i, i2, cells)) in edges.link.iter().enumerate() {
+            row_edges[*i].push(k);
+            row_edges[*i2].push(k);
+            if cells.len() < n {
+                for &j in cells {
+                    col_link_edges[j].push(k);
+                }
+            }
+        }
+        let mut col_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut row_loc_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for (k, (j, j2, links)) in edges.location.iter().enumerate() {
+            col_edges[*j].push(k);
+            col_edges[*j2].push(k);
+            if links.len() < m {
+                for &i in links {
+                    row_loc_edges[i].push(k);
+                }
+            }
+        }
+
+        // A row's solve reads other L rows only through similarity edges (and
+        // a column's solve reads other R rows only through continuity edges),
+        // so two rows/columns may be solved concurrently iff no edge joins
+        // them — exactly what a proper coloring guarantees. When the coupling
+        // term is off, everything is independent and one class covers the
+        // whole half-sweep.
+        let row_classes = if config.beta > 0.0 {
+            color_classes(m, edges.link.iter().map(|(u, v, _)| (*u, *v)))
+        } else {
+            vec![(0..m).collect()]
+        };
+        let col_classes = if config.alpha > 0.0 {
+            color_classes(n, edges.location.iter().map(|(u, v, _)| (*u, *v)))
+        } else {
+            vec![(0..n).collect()]
+        };
+        let has_full_loc =
+            config.alpha > 0.0 && edges.location.iter().any(|(_, _, links)| links.len() == m);
+        let has_full_link =
+            config.beta > 0.0 && edges.link.iter().any(|(_, _, cells)| cells.len() == n);
+        Sweeps {
+            problem,
+            config,
+            mu,
+            edges,
+            row_obs,
+            col_obs,
+            row_edges,
+            row_loc_edges,
+            col_edges,
+            col_link_edges,
+            row_classes,
+            col_classes,
+            has_full_loc,
+            has_full_link,
+        }
     }
-    if let Some(p) = problem.lrr_prior {
-        if mu > 0.0 {
+
+    /// The prior, when its term is on.
+    fn prior(&self) -> Option<&'a Matrix> {
+        self.problem.lrr_prior.filter(|_| self.mu > 0.0)
+    }
+
+    /// Evaluates the LoLi-IR objective at `(L, R)`, writing `L·Rᵀ` into `xh`.
+    fn objective(&self, l: &Matrix, rf: &Matrix, xh: &mut Matrix) -> Result<f64> {
+        let (problem, config) = (self.problem, self.config);
+        l.matmul_nt_into(rf, xh)?;
+        let mut f = config.lambda * (l.frobenius_norm().powi(2) + rf.frobenius_norm().powi(2));
+        for (i, j) in problem.mask.true_positions() {
+            let d = xh[(i, j)] - problem.observed[(i, j)];
+            f += d * d;
+        }
+        if let Some(p) = self.prior() {
             let mut s = 0.0;
             for (a, b) in xh.as_slice().iter().zip(p.as_slice()) {
                 let d = a - b;
                 s += d * d;
             }
-            f += mu * s;
+            f += self.mu * s;
         }
-    }
-    if config.alpha > 0.0 {
-        for (j, j2, links) in &edges.location {
-            for &i in links {
-                let d = xh[(i, *j)] - xh[(i, *j2)];
-                f += config.alpha * d * d;
+        if config.alpha > 0.0 {
+            for (j, j2, links) in &self.edges.location {
+                for &i in links {
+                    let d = xh[(i, *j)] - xh[(i, *j2)];
+                    f += config.alpha * d * d;
+                }
             }
         }
-    }
-    if config.beta > 0.0 {
-        for (i, i2, cells) in &edges.link {
-            let off = baseline_delta(problem, *i, *i2);
-            for &j in cells {
-                let d = xh[(*i, j)] - xh[(*i2, j)] - off;
-                f += config.beta * d * d;
+        if config.beta > 0.0 {
+            for (i, i2, cells) in &self.edges.link {
+                let off = baseline_delta(problem, *i, *i2);
+                for &j in cells {
+                    let d = xh[(*i, j)] - xh[(*i2, j)] - off;
+                    f += config.beta * d * d;
+                }
             }
         }
+        Ok(f)
     }
-    Ok(f)
+
+    /// L-step: a colored Gauss-Seidel pass over the rows of `l`, `rf` fixed.
+    fn l_step(&self, l: &mut Matrix, rf: &Matrix, ws: &mut SolverWorkspace) -> Result<()> {
+        let (m, n) = (l.rows(), rf.rows());
+        let r = rf.cols();
+        let config = self.config;
+        let b = &mut ws.sweep;
+        rf.gram_into(&mut b.gram)?;
+        if config.beta > 0.0 {
+            edge_grams(
+                &self.edges.link,
+                rf,
+                config.beta,
+                &b.gram,
+                &mut b.link_gram,
+                &mut b.link_sum,
+            );
+        }
+        if self.has_full_loc {
+            b.loc_lhs.as_mut_slice().fill(0.0);
+            let dir = &mut ws.scratch[0].dir;
+            for (j, j2, links) in &self.edges.location {
+                if links.len() == m {
+                    for (dv, (&a, &c)) in dir.iter_mut().zip(rf.row(*j).iter().zip(rf.row(*j2))) {
+                        *dv = a - c;
+                    }
+                    rank1_update(b.loc_lhs.as_mut_slice(), dir, config.alpha);
+                }
+            }
+        }
+        if let Some(p) = self.prior() {
+            p.matmul_into(rf, &mut b.prior_l)?;
+        }
+        for class in &self.row_classes {
+            let big = class.len() > 1 && class.len() * n * r * r >= PAR_MIN_FLOPS;
+            let ctx = StepCtx { sw: self, l, rf, b: &ws.sweep };
+            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_l_row(&ctx, class[k], s));
+            for (k, &i) in class.iter().enumerate() {
+                let s = &mut ws.scratch[k];
+                if let Some(e) = s.status.take() {
+                    return Err(e.into());
+                }
+                l.set_row(i, &s.sol).expect("row length r");
+            }
+        }
+        Ok(())
+    }
+
+    /// R-step: a colored Gauss-Seidel pass over the rows of `rf` (the columns
+    /// of `X̂`), `l` fixed.
+    fn r_step(&self, l: &Matrix, rf: &mut Matrix, ws: &mut SolverWorkspace) -> Result<()> {
+        let (m, n) = (l.rows(), rf.rows());
+        let r = l.cols();
+        let config = self.config;
+        let b = &mut ws.sweep;
+        l.gram_into(&mut b.gram)?;
+        if config.alpha > 0.0 {
+            edge_grams(&self.edges.location, l, config.alpha, &b.gram, &mut b.loc_gram, &mut []);
+        }
+        if self.has_full_link {
+            b.link_lhs.as_mut_slice().fill(0.0);
+            b.link_rhs.fill(0.0);
+            let dir = &mut ws.scratch[0].dir;
+            for (i, i2, cells) in &self.edges.link {
+                if cells.len() == n {
+                    for (dv, (&a, &c)) in dir.iter_mut().zip(l.row(*i).iter().zip(l.row(*i2))) {
+                        *dv = a - c;
+                    }
+                    rank1_update(b.link_lhs.as_mut_slice(), dir, config.beta);
+                    let w = config.beta * baseline_delta(self.problem, *i, *i2);
+                    if w != 0.0 {
+                        taf_linalg::axpy_slice(&mut b.link_rhs, w, dir);
+                    }
+                }
+            }
+        }
+        if let Some(p) = self.prior() {
+            l.matmul_tn_into(p, &mut b.prior_r)?;
+        }
+        for class in &self.col_classes {
+            let big = class.len() > 1 && class.len() * m * r * r >= PAR_MIN_FLOPS;
+            let ctx = StepCtx { sw: self, l, rf, b: &ws.sweep };
+            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_r_col(&ctx, class[k], s));
+            for (k, &j) in class.iter().enumerate() {
+                let s = &mut ws.scratch[k];
+                if let Some(e) = s.status.take() {
+                    return Err(e.into());
+                }
+                rf.set_row(j, &s.sol).expect("row length r");
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Shared read-only inputs for the L-step solves of one color class.
-struct LStepCtx<'a> {
-    problem: &'a ReconstructionProblem<'a>,
-    edges: &'a EdgeSets,
-    config: &'a LoliIrConfig,
-    mu: f64,
+/// Shared read-only inputs for the block solves of one color class: the
+/// solve's structure, both factors (the rows being solved belong to other
+/// classes' solves only through these reads), and the half-sweep's buffers.
+struct StepCtx<'a> {
+    sw: &'a Sweeps<'a>,
     l: &'a Matrix,
     rf: &'a Matrix,
-    /// `RᵀR`.
-    gram: &'a Matrix,
-    /// Observed column indices per row (CSR-style; replaces per-entry mask probes).
-    row_obs: &'a [Vec<usize>],
-    /// Link edges incident to each row (fully-active and not).
-    row_edges: &'a [Vec<usize>],
-    /// Location edges with a *partial* active set containing each row; the
-    /// fully-active ones are folded into `loc_lhs` once per sweep.
-    row_loc_edges: &'a [Vec<usize>],
-    /// `α Σ_fully-active (r_j − r_{j'})(…)ᵀ` (lower triangle), shared by every
-    /// row, or `None` when no location edge is fully active.
-    loc_lhs: Option<&'a Matrix>,
-    /// Column sums of `R` for the baseline-offset right-hand-side term.
-    rsum: &'a [f64],
-    /// `P·R` (`m x r`): each row's prior right-hand side, or `None` when the
-    /// prior term is off.
-    prior_rhs: Option<&'a Matrix>,
-}
-
-/// Shared read-only inputs for the R-step solves of one color class.
-struct RStepCtx<'a> {
-    problem: &'a ReconstructionProblem<'a>,
-    edges: &'a EdgeSets,
-    config: &'a LoliIrConfig,
-    mu: f64,
-    l: &'a Matrix,
-    rf: &'a Matrix,
-    /// `LᵀL`.
-    gram: &'a Matrix,
-    /// Observed row indices per column.
-    col_obs: &'a [Vec<usize>],
-    /// Location edges incident to each column (fully-active and not).
-    col_edges: &'a [Vec<usize>],
-    /// Link edges with a *partial* active set containing each column.
-    col_link_edges: &'a [Vec<usize>],
-    /// `β Σ_fully-active (l_i − l_{i'})(…)ᵀ` (lower triangle) and its
-    /// right-hand side `β Σ δ_{ii'} (l_i − l_{i'})`, shared by every column;
-    /// `None` when no link edge is fully active.
-    link_closed: Option<(&'a Matrix, &'a [f64])>,
-    /// `Lᵀ·P` (`r x n`): each column's prior right-hand side.
-    prior_rhs: Option<&'a Matrix>,
+    b: &'a SweepBuffers,
 }
 
 /// Factors `s.lhs` and solves for `s.rhs` into `s.sol`, recording any failure
@@ -826,169 +990,141 @@ fn finish_solve(s: &mut RowScratch) {
     }
 }
 
+/// Adds one smoothness edge to a block solve: the edge's Gram block `g` (full
+/// symmetric `r x r`) to the lower triangle of `s.lhs`, and `g·other` to
+/// `s.rhs`, where `other` is the fixed factor row of the edge's other endpoint.
+fn add_edge_gram(s: &mut RowScratch, g: &[f64], other: &[f64]) {
+    let r = other.len();
+    for (a, ga) in g.chunks_exact(r).enumerate() {
+        for (o, &x) in s.lhs.row_mut(a)[..=a].iter_mut().zip(ga) {
+            *o += x;
+        }
+        s.rhs[a] += taf_linalg::dot(ga, other);
+    }
+}
+
 /// Builds and solves the `r x r` ridge system for row `l_i` entirely inside
 /// `s`. Factor rows read through `ctx.l` belong to other color classes, so
 /// every solve in a class is independent of its siblings.
 ///
 /// Only the lower triangle of `s.lhs` is written — the Cholesky factorization
-/// reads nothing else — and every term whose active set covers the whole
-/// matrix enters through a closed form (`μ RᵀR` for the prior, the shared
-/// `loc_lhs` for fully-active continuity edges, `β RᵀR` plus a Gram
-/// matrix-vector product for fully-active similarity edges) instead of a
-/// per-entry rank-1 loop. Partial (distortion-restricted) edges keep the
-/// per-entry path.
-fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
-    let r = ctx.gram.rows();
-    let n = ctx.rf.rows();
+/// reads nothing else. Sums over many entries arrive precomputed: `μ RᵀR` for
+/// the prior, the shared `loc_lhs` for fully-active continuity edges, and the
+/// per-sweep `link_gram`/`link_sum` blocks for every similarity edge, which
+/// enter as a Gram block plus a Gram matrix-vector product with the other
+/// endpoint's row.
+fn solve_l_row(ctx: &StepCtx<'_>, i: usize, s: &mut RowScratch) {
+    let (sw, b) = (ctx.sw, ctx.b);
+    let r = b.gram.rows();
     s.status = None;
     for a in 0..r {
-        for b in 0..=a {
-            s.lhs[(a, b)] = ctx.config.lambda * f64::from(a == b) + ctx.mu * ctx.gram[(a, b)];
+        for c in 0..=a {
+            s.lhs[(a, c)] = sw.config.lambda * f64::from(a == c) + sw.mu * b.gram[(a, c)];
         }
     }
-    if let Some(full) = ctx.loc_lhs {
+    if sw.has_full_loc {
         for a in 0..r {
-            for b in 0..=a {
-                s.lhs[(a, b)] += full[(a, b)];
+            for c in 0..=a {
+                s.lhs[(a, c)] += b.loc_lhs[(a, c)];
             }
         }
     }
     s.rhs.fill(0.0);
     // Data term: Σ_j B_ij (r_jᵀ l_i − x_ij)².
-    for &j in &ctx.row_obs[i] {
+    for &j in &sw.row_obs[i] {
         let rj = ctx.rf.row(j);
-        rank1_update(&mut s.lhs, rj, 1.0);
-        taf_linalg::axpy_slice(&mut s.rhs, ctx.problem.observed[(i, j)], rj);
+        rank1_update(s.lhs.as_mut_slice(), rj, 1.0);
+        taf_linalg::axpy_slice(&mut s.rhs, sw.problem.observed[(i, j)], rj);
     }
     // LRR prior: μ ‖R l_i − p_i‖² — right-hand side μ (P·R)_i.
-    if let Some(pr) = ctx.prior_rhs {
-        taf_linalg::axpy_slice(&mut s.rhs, ctx.mu, pr.row(i));
+    if sw.prior().is_some() {
+        taf_linalg::axpy_slice(&mut s.rhs, sw.mu, b.prior_l.row(i));
     }
-    // Similarity edges incident to row i (other endpoint held fixed).
-    if ctx.config.beta > 0.0 {
-        for &k in &ctx.row_edges[i] {
-            let (u, v, cells) = &ctx.edges.link[k];
-            let other = if *u == i { *v } else { *u };
-            let off = if *u == i {
-                baseline_delta(ctx.problem, *u, *v)
+    // Similarity edges incident to row i (other endpoint held fixed):
+    // β Σ_{j∈C_e} (r_jᵀ l_i − r_jᵀ l_other − off)², whose normal equations
+    // are G_e l_i = G_e l_other + off·Σ β r_j.
+    if sw.config.beta > 0.0 {
+        for &k in &sw.row_edges[i] {
+            let (u, v, _) = &sw.edges.link[k];
+            let (other, off) = if *u == i {
+                (*v, baseline_delta(sw.problem, *u, *v))
             } else {
-                -baseline_delta(ctx.problem, *u, *v)
+                (*u, -baseline_delta(sw.problem, *u, *v))
             };
-            s.other.copy_from_slice(ctx.l.row(other));
-            if cells.len() == n {
-                // Fully active: Σ_j r_j r_jᵀ = RᵀR and the target sum
-                // collapses to G·l_other + off·Σ_j r_j.
-                for a in 0..r {
-                    for b in 0..=a {
-                        s.lhs[(a, b)] += ctx.config.beta * ctx.gram[(a, b)];
-                    }
-                }
-                for a in 0..r {
-                    let t = taf_linalg::dot(ctx.gram.row(a), &s.other) + off * ctx.rsum[a];
-                    s.rhs[a] += ctx.config.beta * t;
-                }
-            } else {
-                for &j in cells {
-                    let rj = ctx.rf.row(j);
-                    rank1_update(&mut s.lhs, rj, ctx.config.beta);
-                    // Target for x̂_ij is x̂_other,j + off.
-                    let t: f64 = taf_linalg::dot(&s.other, rj) + off;
-                    taf_linalg::axpy_slice(&mut s.rhs, ctx.config.beta * t, rj);
-                }
-            }
+            add_edge_gram(s, &b.link_gram[k * r * r..(k + 1) * r * r], ctx.l.row(other));
+            taf_linalg::axpy_slice(&mut s.rhs, off, &b.link_sum[k * r..(k + 1) * r]);
         }
     }
     // Continuity edges whose *partial* active-link set contains row i:
     // α (l_iᵀ (r_j − r_{j'}))² — quadratic in l_i with direction
     // d = r_j − r_{j'} and zero target. (Fully-active ones came in via
     // `loc_lhs` above.)
-    if ctx.config.alpha > 0.0 {
-        for &k in &ctx.row_loc_edges[i] {
-            let (j, j2, _) = &ctx.edges.location[k];
-            let rj = ctx.rf.row(*j);
-            let rj2 = ctx.rf.row(*j2);
-            for (dv, (&a, &b)) in s.dir.iter_mut().zip(rj.iter().zip(rj2)) {
-                *dv = a - b;
+    if sw.config.alpha > 0.0 {
+        for &k in &sw.row_loc_edges[i] {
+            let (j, j2, _) = &sw.edges.location[k];
+            for (dv, (&x, &y)) in s.dir.iter_mut().zip(ctx.rf.row(*j).iter().zip(ctx.rf.row(*j2))) {
+                *dv = x - y;
             }
-            rank1_update(&mut s.lhs, &s.dir, ctx.config.alpha);
+            rank1_update(s.lhs.as_mut_slice(), &s.dir, sw.config.alpha);
         }
     }
     finish_solve(s);
 }
 
 /// Builds and solves the `r x r` ridge system for column `r_j` inside `s`;
-/// symmetric counterpart of [`solve_l_row`] (lower-triangle `lhs`, closed
-/// forms for fully-active terms, per-entry loops only for partial edges).
-fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
-    let r = ctx.gram.rows();
-    let m = ctx.l.rows();
+/// symmetric counterpart of [`solve_l_row`] (lower-triangle `lhs`, every sum
+/// over many entries precomputed once per sweep).
+fn solve_r_col(ctx: &StepCtx<'_>, j: usize, s: &mut RowScratch) {
+    let (sw, b) = (ctx.sw, ctx.b);
+    let r = b.gram.rows();
     s.status = None;
     for a in 0..r {
-        for b in 0..=a {
-            s.lhs[(a, b)] = ctx.config.lambda * f64::from(a == b) + ctx.mu * ctx.gram[(a, b)];
+        for c in 0..=a {
+            s.lhs[(a, c)] = sw.config.lambda * f64::from(a == c) + sw.mu * b.gram[(a, c)];
         }
     }
     s.rhs.fill(0.0);
     // Fully-active similarity edges: one shared accumulator pair per sweep.
-    if let Some((full_lhs, full_rhs)) = ctx.link_closed {
+    if sw.has_full_link {
         for a in 0..r {
-            for b in 0..=a {
-                s.lhs[(a, b)] += full_lhs[(a, b)];
+            for c in 0..=a {
+                s.lhs[(a, c)] += b.link_lhs[(a, c)];
             }
         }
-        taf_linalg::axpy_slice(&mut s.rhs, 1.0, full_rhs);
+        taf_linalg::axpy_slice(&mut s.rhs, 1.0, &b.link_rhs);
     }
-    for &i in &ctx.col_obs[j] {
+    for &i in &sw.col_obs[j] {
         let li = ctx.l.row(i);
-        rank1_update(&mut s.lhs, li, 1.0);
-        taf_linalg::axpy_slice(&mut s.rhs, ctx.problem.observed[(i, j)], li);
+        rank1_update(s.lhs.as_mut_slice(), li, 1.0);
+        taf_linalg::axpy_slice(&mut s.rhs, sw.problem.observed[(i, j)], li);
     }
     // LRR prior right-hand side μ (LᵀP)_{·j}.
-    if let Some(lp) = ctx.prior_rhs {
+    if sw.prior().is_some() {
         for (a, v) in s.rhs.iter_mut().enumerate() {
-            *v += ctx.mu * lp[(a, j)];
+            *v += sw.mu * b.prior_r[(a, j)];
         }
     }
-    if ctx.config.alpha > 0.0 {
-        for &k in &ctx.col_edges[j] {
-            let (u, v, links) = &ctx.edges.location[k];
+    // Continuity edges incident to column j: α Σ_{i∈S_e} (l_iᵀ r_j − l_iᵀ r_other)²,
+    // whose normal equations are G_e r_j = G_e r_other.
+    if sw.config.alpha > 0.0 {
+        for &k in &sw.col_edges[j] {
+            let (u, v, _) = &sw.edges.location[k];
             let other = if *u == j { *v } else { *u };
-            s.other.copy_from_slice(ctx.rf.row(other));
-            if links.len() == m {
-                // Fully active: Σ_i l_i l_iᵀ = LᵀL, target sum G_L·r_other.
-                for a in 0..r {
-                    for b in 0..=a {
-                        s.lhs[(a, b)] += ctx.config.alpha * ctx.gram[(a, b)];
-                    }
-                }
-                for a in 0..r {
-                    let t = taf_linalg::dot(ctx.gram.row(a), &s.other);
-                    s.rhs[a] += ctx.config.alpha * t;
-                }
-            } else {
-                for &i in links {
-                    let li = ctx.l.row(i);
-                    rank1_update(&mut s.lhs, li, ctx.config.alpha);
-                    let t: f64 = taf_linalg::dot(li, &s.other);
-                    taf_linalg::axpy_slice(&mut s.rhs, ctx.config.alpha * t, li);
-                }
-            }
+            add_edge_gram(s, &b.loc_gram[k * r * r..(k + 1) * r * r], ctx.rf.row(other));
         }
     }
     // Similarity edges whose *partial* active-cell set contains column j:
     // β ((l_i − l_{i'})ᵀ r_j − δ_{ii'})² — quadratic in r_j with
     // direction d = l_i − l_{i'} and target δ. (Fully-active ones came in via
     // `link_closed` above.)
-    if ctx.config.beta > 0.0 {
-        for &k in &ctx.col_link_edges[j] {
-            let (i, i2, _) = &ctx.edges.link[k];
-            let li = ctx.l.row(*i);
-            let li2 = ctx.l.row(*i2);
-            for (dv, (&a, &b)) in s.dir.iter_mut().zip(li.iter().zip(li2)) {
-                *dv = a - b;
+    if sw.config.beta > 0.0 {
+        for &k in &sw.col_link_edges[j] {
+            let (i, i2, _) = &sw.edges.link[k];
+            for (dv, (&x, &y)) in s.dir.iter_mut().zip(ctx.l.row(*i).iter().zip(ctx.l.row(*i2))) {
+                *dv = x - y;
             }
-            rank1_update(&mut s.lhs, &s.dir, ctx.config.beta);
-            let w = ctx.config.beta * baseline_delta(ctx.problem, *i, *i2);
+            rank1_update(s.lhs.as_mut_slice(), &s.dir, sw.config.beta);
+            let w = sw.config.beta * baseline_delta(sw.problem, *i, *i2);
             if w != 0.0 {
                 for (a, &dv) in s.rhs.iter_mut().zip(&s.dir) {
                     *a += w * dv;
@@ -1068,14 +1204,8 @@ pub fn reconstruct_warm(
 
     let (m, n) = problem.observed.shape();
     let r = config.rank.min(m).min(n);
-    // The LRR term only exists when a prior was supplied; otherwise its weight in
-    // the normal equations must vanish too (a bare `mu * RᵀR` on the left-hand
-    // side with no matching right-hand side would shrink X̂ toward zero).
-    let mu = if problem.lrr_prior.is_some() { config.mu } else { 0.0 };
-    let has_prior = mu > 0.0 && problem.lrr_prior.is_some();
-    let edges = build_edge_sets(problem);
-
-    ws.ensure(m, n, r, config.max_iters, config.accelerate);
+    let sweeps = Sweeps::new(problem, config);
+    ws.ensure((m, n, r), &sweeps.edges, config.max_iters, config.accelerate);
 
     // ------------------------------------------------------------------
     // Initialization. The cold start is the truncated SVD of the prior (or of
@@ -1087,19 +1217,19 @@ pub fn reconstruct_warm(
     // never make a solve slower to converge than the cold start, while a
     // fresh one skips most of the descent.
     // ------------------------------------------------------------------
-    let init_target: Matrix = match problem.lrr_prior {
-        Some(p) => p.clone(),
-        None => fill_from_observed(problem.observed, problem.mask),
-    };
-    let svd = init_target.svd()?.truncate(r);
+    let svd = match problem.lrr_prior {
+        Some(p) => p.svd()?,
+        None => fill_from_observed(problem.observed, problem.mask).svd()?,
+    }
+    .truncate(r);
     let cold_l = Matrix::from_fn(m, r, |i, k| svd.u[(i, k)] * svd.sigma[k].sqrt());
     let cold_r = Matrix::from_fn(n, r, |j, k| svd.v[(j, k)] * svd.sigma[k].sqrt());
     let seed = warm.filter(|w| w.shape() == (m, n, r) && w.is_finite());
     let warm_start = match seed {
         None => false,
         Some(w) => {
-            let f_warm = objective(problem, &edges, config, mu, &w.l, &w.r, &mut ws.xh)?;
-            let f_cold = objective(problem, &edges, config, mu, &cold_l, &cold_r, &mut ws.xh)?;
+            let f_warm = sweeps.objective(&w.l, &w.r, &mut ws.xh)?;
+            let f_cold = sweeps.objective(&cold_l, &cold_r, &mut ws.xh)?;
             // Strict `<` (false on NaN) so ties and garbage go cold.
             f_warm < f_cold
         }
@@ -1111,81 +1241,10 @@ pub fn reconstruct_warm(
         (cold_l, cold_r)
     };
 
-    let f0 = objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?;
+    let f0 = sweeps.objective(&l, &rf, &mut ws.xh)?;
     ws.trace.push(f0);
     let mut converged = false;
     let mut iterations = 0;
-
-    // Observed coordinates as CSR-style index lists, so the block solves walk
-    // only the observed entries instead of probing the mask across every
-    // row/column.
-    let mut row_obs: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut col_obs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, j) in problem.mask.true_positions() {
-        row_obs[i].push(j);
-        col_obs[j].push(i);
-    }
-
-    // Fully-active edges (every row resp. column in the active set — the
-    // common case whenever no distortion mask narrows the penalties) are
-    // handled in closed form: their per-sweep accumulators are computed once
-    // and shared by every block solve of the sweep, instead of redoing a
-    // rank-1 update per active entry per solve.
-    let has_full_loc =
-        config.alpha > 0.0 && edges.location.iter().any(|(_, _, links)| links.len() == m);
-    let has_full_link =
-        config.beta > 0.0 && edges.link.iter().any(|(_, _, cells)| cells.len() == n);
-
-    // Per-row and per-column edge adjacency (indices into edge lists).
-    //
-    // Both smoothness terms depend on *both* factors: a similarity edge
-    // (i, i') constrains rows i, i' of L and every active column of R; a
-    // continuity edge (j, j') constrains columns j, j' of R and every active row
-    // of L. For each block solve to be an exact minimization (and the objective
-    // therefore monotone), every term touching the variable must enter its
-    // normal equations — so we index the edges from all four directions. The
-    // "every active row/column" directions list only the *partial* edges; the
-    // fully-active ones enter through the shared closed-form accumulators.
-    let mut row_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut col_link_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, (i, i2, cells)) in edges.link.iter().enumerate() {
-        row_edges[*i].push(k);
-        row_edges[*i2].push(k);
-        if cells.len() < n {
-            for &j in cells {
-                col_link_edges[j].push(k);
-            }
-        }
-    }
-    let mut col_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut row_loc_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (k, (j, j2, links)) in edges.location.iter().enumerate() {
-        col_edges[*j].push(k);
-        col_edges[*j2].push(k);
-        if links.len() < m {
-            for &i in links {
-                row_loc_edges[i].push(k);
-            }
-        }
-    }
-
-    // Color classes for the Gauss-Seidel sweeps. A row's solve reads other L
-    // rows only through similarity edges (and a column's solve reads other R
-    // rows only through continuity edges), so two rows/columns may be solved
-    // concurrently iff no edge joins them — exactly what a proper coloring
-    // guarantees. When the coupling term is off, everything is independent and
-    // a single class covers the whole sweep.
-    let row_classes = if config.beta > 0.0 {
-        color_classes(m, edges.link.iter().map(|(u, v, _)| (*u, *v)))
-    } else {
-        vec![(0..m).collect()]
-    };
-    let col_classes = if config.alpha > 0.0 {
-        color_classes(n, edges.location.iter().map(|(u, v, _)| (*u, *v)))
-    } else {
-        vec![(0..n).collect()]
-    };
-
     let mut stall = 0usize;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
@@ -1193,114 +1252,10 @@ pub fn reconstruct_warm(
             ws.prev_l.as_mut_slice().copy_from_slice(l.as_slice());
             ws.prev_r.as_mut_slice().copy_from_slice(rf.as_slice());
         }
+        sweeps.l_step(&mut l, &rf, ws)?;
+        sweeps.r_step(&l, &mut rf, ws)?;
 
-        // ---------------- L-step: colored Gauss-Seidel over rows ----------------
-        rf.gram_into(&mut ws.gram)?;
-        if has_full_link {
-            ws.rsum.fill(0.0);
-            for j in 0..n {
-                taf_linalg::axpy_slice(&mut ws.rsum, 1.0, rf.row(j));
-            }
-        }
-        if has_full_loc {
-            let SolverWorkspace { scratch, loc_lhs, .. } = &mut *ws;
-            loc_lhs.as_mut_slice().fill(0.0);
-            let dir = &mut scratch[0].dir;
-            for (j, j2, links) in &edges.location {
-                if links.len() == m {
-                    for (dv, (&a, &b)) in dir.iter_mut().zip(rf.row(*j).iter().zip(rf.row(*j2))) {
-                        *dv = a - b;
-                    }
-                    rank1_update(loc_lhs, dir, config.alpha);
-                }
-            }
-        }
-        if has_prior {
-            let p = problem.lrr_prior.expect("has_prior implies Some");
-            p.matmul_into(&rf, &mut ws.prior_l)?;
-        }
-        for class in &row_classes {
-            let big = class.len() > 1 && class.len() * n * r * r >= PAR_MIN_FLOPS;
-            let ctx = LStepCtx {
-                problem,
-                edges: &edges,
-                config,
-                mu,
-                l: &l,
-                rf: &rf,
-                gram: &ws.gram,
-                row_obs: &row_obs,
-                row_edges: &row_edges,
-                row_loc_edges: &row_loc_edges,
-                loc_lhs: if has_full_loc { Some(&ws.loc_lhs) } else { None },
-                rsum: &ws.rsum,
-                prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
-            };
-            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_l_row(&ctx, class[k], s));
-            for (k, &i) in class.iter().enumerate() {
-                let s = &mut ws.scratch[k];
-                if let Some(e) = s.status.take() {
-                    return Err(e.into());
-                }
-                l.set_row(i, &s.sol).expect("row length r");
-            }
-        }
-
-        // ---------------- R-step: colored Gauss-Seidel over columns ----------------
-        l.gram_into(&mut ws.gram)?;
-        if has_full_link {
-            let SolverWorkspace { scratch, link_lhs, link_rhs, .. } = &mut *ws;
-            link_lhs.as_mut_slice().fill(0.0);
-            link_rhs.fill(0.0);
-            let dir = &mut scratch[0].dir;
-            for (i, i2, cells) in &edges.link {
-                if cells.len() == n {
-                    for (dv, (&a, &b)) in dir.iter_mut().zip(l.row(*i).iter().zip(l.row(*i2))) {
-                        *dv = a - b;
-                    }
-                    rank1_update(link_lhs, dir, config.beta);
-                    let w = config.beta * baseline_delta(problem, *i, *i2);
-                    if w != 0.0 {
-                        taf_linalg::axpy_slice(link_rhs, w, dir);
-                    }
-                }
-            }
-        }
-        if has_prior {
-            let p = problem.lrr_prior.expect("has_prior implies Some");
-            l.matmul_tn_into(p, &mut ws.prior_r)?;
-        }
-        for class in &col_classes {
-            let big = class.len() > 1 && class.len() * m * r * r >= PAR_MIN_FLOPS;
-            let ctx = RStepCtx {
-                problem,
-                edges: &edges,
-                config,
-                mu,
-                l: &l,
-                rf: &rf,
-                gram: &ws.gram,
-                col_obs: &col_obs,
-                col_edges: &col_edges,
-                col_link_edges: &col_link_edges,
-                link_closed: if has_full_link {
-                    Some((&ws.link_lhs, ws.link_rhs.as_slice()))
-                } else {
-                    None
-                },
-                prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
-            };
-            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_r_col(&ctx, class[k], s));
-            for (k, &j) in class.iter().enumerate() {
-                let s = &mut ws.scratch[k];
-                if let Some(e) = s.status.take() {
-                    return Err(e.into());
-                }
-                rf.set_row(j, &s.sol).expect("row length r");
-            }
-        }
-
-        let mut f = objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?;
+        let mut f = sweeps.objective(&l, &rf, &mut ws.xh)?;
         if !f.is_finite() {
             return Err(TaflocError::SolverFailure {
                 solver: "loli-ir",
@@ -1331,7 +1286,7 @@ pub fn reconstruct_warm(
                         *cand = cur + theta * (cur - *cand);
                     }
                     let SolverWorkspace { prev_l, prev_r, xh_alt, .. } = &mut *ws;
-                    let f_acc = objective(problem, &edges, config, mu, prev_l, prev_r, xh_alt)?;
+                    let f_acc = sweeps.objective(prev_l, prev_r, xh_alt)?;
                     if f_acc.is_finite() && f_acc < f {
                         std::mem::swap(&mut l, &mut ws.prev_l);
                         std::mem::swap(&mut rf, &mut ws.prev_r);
@@ -1393,18 +1348,59 @@ pub fn reconstruct_warm(
 /// mostly burns the safeguard evaluation.
 const MAX_ACCEL_THETA: f64 = 2.0;
 
+/// Fills one full symmetric `r x r` block of `grams` per edge with
+/// `w Σ_{t∈active} f_t f_tᵀ` over the rows `f_t` of `factor` (the edge's
+/// share of a block solve's left-hand side), and — when `sums` is non-empty —
+/// one length-`r` block per edge with `w Σ_{t∈active} f_t`. A fully-active
+/// edge's Gram block is `w·full_gram` (`full_gram = FᵀF`), copied instead of
+/// summed. Both endpoints of an edge read the same blocks, so each sum is
+/// formed once per sweep rather than once per endpoint.
+fn edge_grams(
+    edges: &[(usize, usize, Vec<usize>)],
+    factor: &Matrix,
+    w: f64,
+    full_gram: &Matrix,
+    grams: &mut [f64],
+    sums: &mut [f64],
+) {
+    let r = factor.cols();
+    for (k, (_, _, active)) in edges.iter().enumerate() {
+        let g = &mut grams[k * r * r..(k + 1) * r * r];
+        if active.len() == factor.rows() {
+            for (o, &x) in g.iter_mut().zip(full_gram.as_slice()) {
+                *o = w * x;
+            }
+        } else {
+            g.fill(0.0);
+            for &t in active {
+                rank1_update(g, factor.row(t), w);
+            }
+            for a in 0..r {
+                for c in 0..a {
+                    g[c * r + a] = g[a * r + c];
+                }
+            }
+        }
+        if let Some(sum) = sums.get_mut(k * r..(k + 1) * r) {
+            sum.fill(0.0);
+            for &t in active {
+                taf_linalg::axpy_slice(sum, w, factor.row(t));
+            }
+        }
+    }
+}
+
 /// `lhs += w · v·vᵀ` for a symmetric `r x r` accumulator — lower triangle
 /// only, via contiguous row slices. Every consumer (the blocked Cholesky and
 /// the solve that follows) reads only the lower triangle, so skipping the
 /// mirrored upper half cuts the dominant per-entry cost of the block solves
 /// almost in half.
-fn rank1_update(lhs: &mut Matrix, v: &[f64], w: f64) {
+fn rank1_update(lhs: &mut [f64], v: &[f64], w: f64) {
     let r = v.len();
-    debug_assert_eq!(lhs.shape(), (r, r));
-    let data = lhs.as_mut_slice();
+    debug_assert_eq!(lhs.len(), r * r);
     for a in 0..r {
         let wa = w * v[a];
-        let row = &mut data[a * r..a * r + a + 1];
+        let row = &mut lhs[a * r..a * r + a + 1];
         for (o, &vb) in row.iter_mut().zip(v) {
             *o += wa * vb;
         }
@@ -1634,6 +1630,188 @@ mod tests {
         let a = reconstruct(&with, &cfg).unwrap();
         let b = reconstruct(&without, &cfg).unwrap();
         assert!((a.objective_trace[0] - b.objective_trace[0]).abs() < 1e-9);
+    }
+
+    /// A 4 x 3 cell grid: cell `c` sits at `(c % 4, c / 4)`, joined to its
+    /// right and lower neighbours.
+    fn grid_4x3() -> NeighborGraph {
+        NeighborGraph::new(
+            12,
+            (0..12usize).flat_map(|c| {
+                [(c % 4 < 3).then_some((c, c + 1)), (c / 4 < 2).then_some((c, c + 4))]
+                    .into_iter()
+                    .flatten()
+            }),
+        )
+    }
+
+    /// The shape of the daemon's refresh problem in miniature: 6 links x 12
+    /// cells, a grid location graph, a link chain, per-link empty-room
+    /// offsets, and a distortion mask that leaves most edges *partial*.
+    /// Links 0-1 and cells 0-1 are fully distorted, so each graph also keeps
+    /// one fully-active edge. `seed` draws the rest of the mask and the
+    /// offsets.
+    struct PartialParts {
+        truth: Matrix,
+        mask: Mask,
+        prior: Matrix,
+        g: NeighborGraph,
+        h: NeighborGraph,
+        empty: Vec<f64>,
+        distortion: Mask,
+    }
+
+    impl PartialParts {
+        fn new(seed: u64) -> Self {
+            let truth = ground_truth();
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut distortion = Mask::falses(6, 12);
+            for i in 0..6 {
+                for j in 0..12 {
+                    distortion.set(i, j, i < 2 || j < 2 || next() % 2 == 0);
+                }
+            }
+            let empty = (0..6).map(|i| -40.0 - 2.0 * i as f64 - (next() % 7) as f64).collect();
+            PartialParts {
+                mask: column_mask(&truth, &[1, 5, 9]),
+                prior: truth.map(|v| v + 0.8 * (v * 17.0).sin()),
+                truth,
+                g: grid_4x3(),
+                h: NeighborGraph::new(6, (0..5).map(|i| (i, i + 1))),
+                empty,
+                distortion,
+            }
+        }
+
+        fn problem(&self) -> ReconstructionProblem<'_> {
+            ReconstructionProblem {
+                observed: &self.truth,
+                mask: &self.mask,
+                lrr_prior: Some(&self.prior),
+                location_graph: Some(&self.g),
+                link_graph: Some(&self.h),
+                empty_rss: Some(&self.empty),
+                distortion: Some(&self.distortion),
+            }
+        }
+    }
+
+    #[test]
+    fn partial_distortion_objective_monotonically_non_increasing() {
+        let parts = PartialParts::new(1);
+        let problem = parts.problem();
+        let edges = build_edge_sets(&problem);
+        let partial = |sets: &[(usize, usize, Vec<usize>)], full: usize| {
+            sets.iter().filter(|(_, _, active)| active.len() < full).count()
+        };
+        assert!(
+            partial(&edges.location, 6) > 0 && partial(&edges.location, 6) < edges.location.len()
+        );
+        assert!(partial(&edges.link, 12) > 0 && partial(&edges.link, 12) < edges.link.len());
+        let cfg =
+            LoliIrConfig { alpha: 0.5, beta: 0.5, max_iters: 25, tol: 0.0, ..Default::default() };
+        let rec = reconstruct(&problem, &cfg).unwrap();
+        for w in rec.objective_trace.windows(2) {
+            assert!(
+                w[1] <= w[0] * (1.0 + 1e-10) + 1e-9,
+                "objective increased: {} -> {}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+
+    /// Central-difference gradient of the objective with respect to row `i`
+    /// of `L` (`of_l`) or of `R`. The objective is quadratic in one row, so
+    /// the quotient is exact up to rounding.
+    fn row_gradient(
+        sweeps: &Sweeps<'_>,
+        l: &Matrix,
+        rf: &Matrix,
+        of_l: bool,
+        i: usize,
+    ) -> Vec<f64> {
+        let h = 1e-3;
+        let mut xh = Matrix::zeros(l.rows(), rf.rows());
+        let mut f_at = |a: usize, delta: f64| {
+            let (mut l2, mut r2) = (l.clone(), rf.clone());
+            let target = if of_l { &mut l2 } else { &mut r2 };
+            target[(i, a)] += delta;
+            sweeps.objective(&l2, &r2, &mut xh).unwrap()
+        };
+        (0..l.cols()).map(|a| (f_at(a, h) - f_at(a, -h)) / (2.0 * h)).collect()
+    }
+
+    fn max_abs(v: &[f64]) -> f64 {
+        v.iter().fold(0.0, |m, x| m.max(x.abs()))
+    }
+
+    /// First-order check of the block solves. After an L-step, every row of
+    /// its last color class was solved with all other rows at their final
+    /// values, so the objective's gradient with respect to that row must
+    /// vanish; likewise for the last column class after an R-step. Any wrong
+    /// term in a block's normal equations leaves a gradient of the size of
+    /// that term.
+    fn assert_block_solves_are_stationary(parts: &PartialParts, cfg: &LoliIrConfig) {
+        let problem = parts.problem();
+        let sweeps = Sweeps::new(&problem, cfg);
+        let (m, n) = problem.observed.shape();
+        let r = cfg.rank.min(m).min(n);
+        let mut ws = SolverWorkspace::new();
+        ws.ensure((m, n, r), &sweeps.edges, cfg.max_iters, false);
+        // A generic, far-from-stationary starting point.
+        let mut l = Matrix::from_fn(m, r, |i, k| -3.0 + (1.3 * i as f64 + 0.7 * k as f64).sin());
+        let mut rf = Matrix::from_fn(n, r, |j, k| 2.0 + (0.9 * j as f64 - 1.1 * k as f64).cos());
+
+        let rows = sweeps.row_classes.last().unwrap().clone();
+        let before: Vec<f64> =
+            rows.iter().map(|&i| max_abs(&row_gradient(&sweeps, &l, &rf, true, i))).collect();
+        sweeps.l_step(&mut l, &rf, &mut ws).unwrap();
+        for (&i, scale) in rows.iter().zip(&before) {
+            let g = max_abs(&row_gradient(&sweeps, &l, &rf, true, i));
+            assert!(g <= 1e-6 * scale, "row {i}: gradient {g} after its solve (was {scale})");
+        }
+
+        let cols = sweeps.col_classes.last().unwrap().clone();
+        let before: Vec<f64> =
+            cols.iter().map(|&j| max_abs(&row_gradient(&sweeps, &l, &rf, false, j))).collect();
+        sweeps.r_step(&l, &mut rf, &mut ws).unwrap();
+        for (&j, scale) in cols.iter().zip(&before) {
+            let g = max_abs(&row_gradient(&sweeps, &l, &rf, false, j));
+            assert!(g <= 1e-6 * scale, "column {j}: gradient {g} after its solve (was {scale})");
+        }
+    }
+
+    #[test]
+    fn block_solves_zero_the_block_gradient() {
+        let cfg = LoliIrConfig { alpha: 0.5, beta: 0.5, ..Default::default() };
+        assert_block_solves_are_stationary(&PartialParts::new(1), &cfg);
+    }
+
+    proptest::proptest! {
+        /// Over random distortion masks, empty-room offsets and term weights:
+        /// the objective never rises, and every last-class block solve is a
+        /// stationary point of its block.
+        #[test]
+        fn partial_masks_keep_monotone_and_stationary(
+            seed in 0u64..1_000_000,
+            alpha in 0.01..2.0f64,
+            beta in 0.01..2.0f64,
+        ) {
+            let parts = PartialParts::new(seed);
+            let cfg = LoliIrConfig { alpha, beta, max_iters: 10, tol: 0.0, ..Default::default() };
+            let rec = reconstruct(&parts.problem(), &cfg).unwrap();
+            for w in rec.objective_trace.windows(2) {
+                proptest::prop_assert!(w[1] <= w[0] * (1.0 + 1e-10) + 1e-9, "{} -> {}", w[0], w[1]);
+            }
+            assert_block_solves_are_stationary(&parts, &cfg);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! linearly independent" columns, exactly the property the paper asks for.
 
 use crate::par::{for_each_row, PAR_MIN_FLOPS};
-use crate::{axpy_slice, dot, LinalgError, Matrix, Result};
+use crate::{axpy_slice, LinalgError, Matrix, Result};
 
 /// Fixed row-block size for the reflector-application reduction. The partial
 /// sums are always combined in block order, so results do not depend on the
@@ -34,7 +34,7 @@ pub struct ColPivQr {
 }
 
 /// Shared Householder core: factors `work` in place (columns permuted when
-/// `pivoting`), accumulating reflectors into an explicit thin Q.
+/// `pivoting`), keeping each reflector, then builds the thin Q from them.
 fn householder(
     a: &Matrix,
     pivoting: bool,
@@ -43,8 +43,9 @@ fn householder(
     let k = m.min(n);
     let mut work = a.clone();
     let mut pivots: Vec<usize> = (0..n).collect();
-    // Q accumulated as an m x m product applied to the identity; trimmed at the end.
-    let mut q = Matrix::identity(m);
+    // Reflector of each step that reflected: `(step, v, vᵀv)` with `v`
+    // spanning rows step..m.
+    let mut reflectors: Vec<(usize, Vec<f64>, f64)> = Vec::with_capacity(k);
 
     // Running squared column norms for pivot selection (row-major traversal).
     let mut col_norms: Vec<f64> = vec![0.0; n];
@@ -53,7 +54,7 @@ fn householder(
             col_norms[j] += x * x;
         }
     }
-    // Scratch reused across steps by the panel update.
+    // Scratch reused across steps by the panel updates.
     let mut s = vec![0.0; n];
     let mut partials = vec![0.0; m.div_ceil(REFLECT_ROW_BLOCK) * n];
 
@@ -92,53 +93,7 @@ fn householder(
             continue;
         }
 
-        // Apply H = I - 2vvᵀ/(vᵀv) to the trailing block of `work`, row-major
-        // and in two phases: s = vᵀ·W, then W -= (2/vᵀv)·v·s. Phase one reduces
-        // over rows in fixed-size blocks whose partials are combined in block
-        // order, so the result is identical whether the blocks ran serially or
-        // on the pool.
-        let rows = m - step;
-        let width = n - step;
-        let blocks = rows.div_ceil(REFLECT_ROW_BLOCK);
-        let big = rows * width >= PAR_MIN_FLOPS;
-        {
-            let pbuf = &mut partials[..blocks * width];
-            let work_ro = &work;
-            let v_ro = &v;
-            for_each_row(pbuf, width, big, |b, buf| {
-                buf.fill(0.0);
-                let r0 = step + b * REFLECT_ROW_BLOCK;
-                let r1 = (r0 + REFLECT_ROW_BLOCK).min(m);
-                for i in r0..r1 {
-                    axpy_slice(buf, v_ro[i - step], &work_ro.row(i)[step..]);
-                }
-            });
-            s[..width].fill(0.0);
-            for b in 0..blocks {
-                for (sj, pj) in s[..width].iter_mut().zip(&pbuf[b * width..(b + 1) * width]) {
-                    *sj += pj;
-                }
-            }
-        }
-        {
-            let s_ro = &s[..width];
-            let v_ro = &v;
-            for_each_row(work.as_mut_slice(), n, big, |i, row| {
-                if i >= step {
-                    axpy_slice(&mut row[step..], -2.0 * v_ro[i - step] / v_norm_sq, s_ro);
-                }
-            });
-        }
-        // Accumulate into Q (apply H on the right: Q ← Q·H). Each Q row is an
-        // independent dot-and-axpy, so rows fan out directly.
-        {
-            let v_ro = &v;
-            let big_q = m * rows >= PAR_MIN_FLOPS;
-            for_each_row(q.as_mut_slice(), m, big_q, |_, q_row| {
-                let d = dot(&q_row[step..m], v_ro);
-                axpy_slice(&mut q_row[step..m], -2.0 * d / v_norm_sq, v_ro);
-            });
-        }
+        reflect(&mut work, step, &v, v_norm_sq, &mut s, &mut partials);
         // Update running column norms (cheap downdate + occasional refresh).
         if pivoting {
             for j in (step + 1)..n {
@@ -146,17 +101,68 @@ fn householder(
                 col_norms[j] = (col_norms[j] - w * w).max(0.0);
             }
         }
+        reflectors.push((step, v, v_norm_sq));
     }
 
-    // Thin factors.
-    let q_thin = q.submatrix(0, m, 0, k).expect("q trim in range");
+    // Thin Q = H_0·H_1·…·H_{k-1}·[I_k; 0], applied right to left. Before H_step
+    // is applied, columns < step are still unit vectors supported above row
+    // `step`, which H_step leaves alone, so each reflection touches only the
+    // trailing (m − step) x (k − step) block.
+    let mut q = Matrix::from_fn(m, k, |i, j| f64::from(i == j));
+    for (step, v, v_norm_sq) in reflectors.iter().rev() {
+        reflect(&mut q, *step, v, *v_norm_sq, &mut s, &mut partials);
+    }
     let mut r = Matrix::zeros(k, n);
     for i in 0..k {
         for j in i..n {
             r[(i, j)] = work[(i, j)];
         }
     }
-    (q_thin, r, pivots)
+    (q, r, pivots)
+}
+
+/// Applies `H = I − 2vvᵀ/(vᵀv)` to the trailing block `mat[step.., step..]`
+/// (`v` spans rows step..m), row-major and in two phases: `s = vᵀ·W`, then
+/// `W −= (2/vᵀv)·v·s`. Phase one reduces over rows in fixed-size blocks whose
+/// partials are combined in block order, so the result is identical whether
+/// the blocks ran serially or on the pool.
+fn reflect(
+    mat: &mut Matrix,
+    step: usize,
+    v: &[f64],
+    v_norm_sq: f64,
+    s: &mut [f64],
+    partials: &mut [f64],
+) {
+    let (m, n) = mat.shape();
+    let rows = m - step;
+    let width = n - step;
+    let blocks = rows.div_ceil(REFLECT_ROW_BLOCK);
+    let big = rows * width >= PAR_MIN_FLOPS;
+    {
+        let pbuf = &mut partials[..blocks * width];
+        let mat_ro = &*mat;
+        for_each_row(pbuf, width, big, |b, buf| {
+            buf.fill(0.0);
+            let r0 = step + b * REFLECT_ROW_BLOCK;
+            let r1 = (r0 + REFLECT_ROW_BLOCK).min(m);
+            for i in r0..r1 {
+                axpy_slice(buf, v[i - step], &mat_ro.row(i)[step..]);
+            }
+        });
+        s[..width].fill(0.0);
+        for b in 0..blocks {
+            for (sj, pj) in s[..width].iter_mut().zip(&pbuf[b * width..(b + 1) * width]) {
+                *sj += pj;
+            }
+        }
+    }
+    let s_ro = &s[..width];
+    for_each_row(mat.as_mut_slice(), n, big, |i, row| {
+        if i >= step {
+            axpy_slice(&mut row[step..], -2.0 * v[i - step] / v_norm_sq, s_ro);
+        }
+    });
 }
 
 impl Matrix {
@@ -402,6 +408,47 @@ mod tests {
     fn empty_rejected() {
         assert!(Matrix::zeros(0, 0).qr().is_err());
         assert!(Matrix::zeros(0, 0).col_piv_qr().is_err());
+    }
+
+    /// Deterministic pseudo-random matrix in RSS range (xorshift).
+    fn pseudo(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed | 1;
+        Matrix::from_fn(rows, cols, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            -70.0 + (state % 4000) as f64 / 100.0
+        })
+    }
+
+    #[test]
+    fn tall_skinny_q_is_thin_and_orthonormal() {
+        // The transposed 48-link x 400-cell prior the SVD seed factors.
+        let a = pseudo(400, 48, 11);
+        let qr = a.qr().unwrap();
+        assert_eq!(qr.q().shape(), (400, 48));
+        assert_eq!(qr.r().shape(), (48, 48));
+        assert!(qr.q().gram().approx_eq(&Matrix::identity(48), 1e-12));
+        let back = qr.q().matmul(qr.r()).unwrap();
+        assert!(back.approx_eq(&a, 1e-12 * a.max_abs()));
+    }
+
+    #[test]
+    fn col_piv_pivots_on_a_calibration_sized_matrix() {
+        // 48 links x 400 cells, the shape reference selection pivots. The
+        // pivot order comes from R's elimination alone, so it must not move
+        // when the way Q is formed changes.
+        let a = pseudo(48, 400, 7);
+        let f = a.col_piv_qr().unwrap();
+        const PIVOTS: [usize; 48] = [
+            14, 95, 369, 195, 208, 334, 63, 332, 252, 211, 393, 338, 136, 333, 387, 330, 34, 383,
+            159, 341, 201, 232, 281, 228, 173, 150, 263, 8, 2, 44, 32, 165, 192, 298, 181, 84, 7,
+            19, 151, 58, 128, 389, 259, 250, 42, 329, 149, 272,
+        ];
+        assert_eq!(f.leading_columns(48).unwrap(), PIVOTS);
+        let ap = a.select_cols(f.pivots()).unwrap();
+        let back = f.q().matmul(f.r()).unwrap();
+        assert!(back.approx_eq(&ap, 1e-12 * a.max_abs()));
     }
 
     #[test]

@@ -60,19 +60,22 @@ impl Matrix {
 fn svd_tall(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
-    // Tall-skinny fast path: factor A = Q·R first (Householder QR streams the
-    // matrix row-major and parallelizes its panel updates), then run Jacobi on
-    // the small n x n triangle. Each Jacobi rotation touches n rows instead of
-    // m, which shrinks the sweep cost from O(m·n²) to O(n³) per sweep, and
-    // A = (Q·U_R)·Σ·Vᵀ recovers the thin factors exactly.
+    // Tall-skinny fast path: factor A = Q·R first (thin m x n Q, built from
+    // the stored Householder reflectors), then run Jacobi on the n x n
+    // triangle R. Each rotation then touches n entries per column instead of
+    // m, which shrinks the sweep cost from O(m·n²) to O(n³), and
+    // A = (Q·U_R)·Σ·Vᵀ gives the thin factors up to rounding.
     if m >= 2 * n {
         let qr = a.qr()?;
         let inner = svd_tall(qr.r())?;
         let u = qr.q().matmul(&inner.u)?;
         return Ok(Svd { u, sigma: inner.sigma, v: inner.v });
     }
-    let mut w = a.clone();
-    let mut v = Matrix::identity(n);
+    // Column-major working copies: row `p` of `wt` is column `p` of `W`, and
+    // likewise for `vt` and `V`, so every rotation streams two contiguous
+    // slices. The sums and updates run in the same order as on `W` itself.
+    let mut wt = a.transpose();
+    let mut vt = Matrix::identity(n);
 
     // Columns whose squared norm falls below this are numerically zero: rotating
     // them against healthy columns computes angles that underflow to zero (a
@@ -85,15 +88,14 @@ fn svd_tall(a: &Matrix) -> Result<Svd> {
         let mut rotated = false;
         for p in 0..n {
             for q in (p + 1)..n {
+                let (wp, wq) = two_rows(&mut wt, p, q);
                 let mut app = 0.0;
                 let mut aqq = 0.0;
                 let mut apq = 0.0;
-                for i in 0..m {
-                    let wp = w[(i, p)];
-                    let wq = w[(i, q)];
-                    app += wp * wp;
-                    aqq += wq * wq;
-                    apq += wp * wq;
+                for (&xp, &xq) in wp.iter().zip(wq.iter()) {
+                    app += xp * xp;
+                    aqq += xq * xq;
+                    apq += xp * xq;
                 }
                 // Skip pairs that are already orthogonal relative to their size,
                 // and pairs involving a (numerically) zero column — rotating
@@ -116,18 +118,9 @@ fn svd_tall(a: &Matrix) -> Result<Svd> {
                 rotated = true;
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for i in 0..m {
-                    let wp = w[(i, p)];
-                    let wq = w[(i, q)];
-                    w[(i, p)] = c * wp - s * wq;
-                    w[(i, q)] = s * wp + c * wq;
-                }
-                for i in 0..n {
-                    let vp = v[(i, p)];
-                    let vq = v[(i, q)];
-                    v[(i, p)] = c * vp - s * vq;
-                    v[(i, q)] = s * vp + c * vq;
-                }
+                rotate(wp, wq, c, s);
+                let (vp, vq) = two_rows(&mut vt, p, q);
+                rotate(vp, vq, c, s);
             }
         }
         if !rotated {
@@ -142,7 +135,7 @@ fn svd_tall(a: &Matrix) -> Result<Svd> {
     // Extract singular values and normalize U's columns.
     let mut order: Vec<usize> = (0..n).collect();
     let norms: Vec<f64> =
-        (0..n).map(|j| (0..m).map(|i| w[(i, j)] * w[(i, j)]).sum::<f64>().sqrt()).collect();
+        (0..n).map(|j| wt.row(j).iter().map(|x| x * x).sum::<f64>().sqrt()).collect();
     order.sort_by(|&x, &y| norms[y].partial_cmp(&norms[x]).expect("finite norms"));
 
     let mut u = Matrix::zeros(m, n);
@@ -151,14 +144,30 @@ fn svd_tall(a: &Matrix) -> Result<Svd> {
     for (k, &j) in order.iter().enumerate() {
         let s = norms[j];
         sigma.push(s);
-        for i in 0..m {
-            u[(i, k)] = if s > 0.0 { w[(i, j)] / s } else { 0.0 };
+        for (i, &x) in wt.row(j).iter().enumerate() {
+            u[(i, k)] = if s > 0.0 { x / s } else { 0.0 };
         }
-        for i in 0..n {
-            vv[(i, k)] = v[(i, j)];
+        for (i, &x) in vt.row(j).iter().enumerate() {
+            vv[(i, k)] = x;
         }
     }
     Ok(Svd { u, sigma, v: vv })
+}
+
+/// Mutable views of rows `p < q` of `mat`.
+fn two_rows(mat: &mut Matrix, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
+    let len = mat.cols();
+    let (head, tail) = mat.as_mut_slice().split_at_mut(q * len);
+    (&mut head[p * len..(p + 1) * len], &mut tail[..len])
+}
+
+/// Plane rotation of the pair `(x, y)`: `x ← c·x − s·y`, `y ← s·x + c·y`.
+fn rotate(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xp, xq) in x.iter_mut().zip(y.iter_mut()) {
+        let (a, b) = (*xp, *xq);
+        *xp = c * a - s * b;
+        *xq = s * a + c * b;
+    }
 }
 
 impl Svd {

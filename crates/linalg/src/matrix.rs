@@ -14,7 +14,7 @@ use std::fmt;
 /// All element access is bounds-checked; indexing with `m[(i, j)]` panics on
 /// out-of-range indices like slice indexing does, while [`Matrix::get`] /
 /// [`Matrix::set`] return [`LinalgError::IndexOutOfBounds`] instead.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

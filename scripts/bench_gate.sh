@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Solver performance gate: re-runs solver_bench and fails if the fresh
-# 1-thread wall time regresses more than BENCH_GATE_THRESHOLD (default 1.25,
-# i.e. +25%) against the committed BENCH_solver.json.
+# Solver performance gate: re-runs solver_bench and fails if the fresh cold
+# 1-thread wall time (the min over its repeats) regresses more than
+# BENCH_GATE_THRESHOLD (default 1.25, i.e. +25%) against the committed
+# BENCH_solver.json.
 #
 #   ./scripts/bench_gate.sh
 #
-# The committed file is the tracked baseline; the fresh run overwrites it in
-# the working tree (CI uploads the fresh file as an artifact, it is never
-# committed from CI). Machine-to-machine variance is real — the threshold is
+# The committed files are the tracked baselines. Every fresh run is written
+# to a temporary file (`--out`) and compared with its committed counterpart;
+# the working tree is never touched. Machine-to-machine variance is real — the threshold is
 # deliberately loose, and BENCH_GATE_THRESHOLD can be raised for a known-slow
 # runner. A *faster* machine trivially passes; the gate only catches changes
 # that make the solver substantially slower on comparable hardware.
@@ -21,6 +22,9 @@ cd "$(dirname "$0")/.."
 
 threshold="${BENCH_GATE_THRESHOLD:-1.25}"
 baseline=BENCH_solver.json
+fresh_dir="$(mktemp -d)"
+trap 'rm -rf "$fresh_dir"' EXIT
+fresh="$fresh_dir/BENCH_solver.json"
 
 if [ ! -f "$baseline" ]; then
   echo "bench_gate: no committed $baseline to compare against" >&2
@@ -28,23 +32,23 @@ if [ ! -f "$baseline" ]; then
 fi
 
 # The canonical emitter writes one field per line in a fixed order, with the
-# cold 1-thread phase first; the first wall_ms / stop_reason belong to it.
-wall_ms_1() { grep -m1 '"wall_ms"' "$1" | tr -cd '0-9.'; }
+# cold 1-thread phase first; the first min_ms / stop_reason belong to it.
+min_ms_1() { grep -m1 '"min_ms"' "$1" | tr -cd '0-9.'; }
 stop_reason_1() { grep -m1 '"stop_reason"' "$1" | sed 's/.*: *"\([^"]*\)".*/\1/'; }
 # Top-level scalar field (key before value, value may be fractional).
 scalar() { grep -m1 "\"$2\"" "$1" | sed 's/.*: *//' | tr -cd '0-9.'; }
 
-old_ms="$(wall_ms_1 "$baseline")"
+old_ms="$(min_ms_1 "$baseline")"
 old_stop="$(stop_reason_1 "$baseline" || true)"
 old_speedup="$(scalar "$baseline" max_thread_speedup || true)"
-echo "bench_gate: committed cold 1-thread wall time: ${old_ms} ms (threshold x${threshold})"
+echo "bench_gate: committed cold 1-thread min wall time: ${old_ms} ms (threshold x${threshold})"
 
-cargo run --release -p taf-bench --bin solver_bench
+cargo run --release -p taf-bench --bin solver_bench -- --out "$fresh"
 
-new_ms="$(wall_ms_1 "$baseline")"
-new_stop="$(stop_reason_1 "$baseline" || true)"
-new_speedup="$(scalar "$baseline" max_thread_speedup || true)"
-echo "bench_gate: fresh cold 1-thread wall time: ${new_ms} ms"
+new_ms="$(min_ms_1 "$fresh")"
+new_stop="$(stop_reason_1 "$fresh" || true)"
+new_speedup="$(scalar "$fresh" max_thread_speedup || true)"
+echo "bench_gate: fresh cold 1-thread min wall time: ${new_ms} ms"
 
 # Convergence is part of the recorded contract: once the committed baseline
 # says the solver converges, a fresh run that stops on max_iters is a real
@@ -53,7 +57,7 @@ echo "bench_gate: fresh cold 1-thread wall time: ${new_ms} ms"
 # never converged keeps the old advisory behavior.
 if [ "$new_stop" = "max_iters" ] && [ "$old_stop" = "converged" ]; then
   echo "bench_gate: FAIL — solver no longer converges (stop_reason went" \
-       "converged -> max_iters); check final_rel_delta in $baseline" >&2
+       "converged -> max_iters); check final_rel_delta in $fresh" >&2
   exit 1
 elif [ "$new_stop" = "max_iters" ]; then
   echo "bench_gate: note — solver stops at max_iters (as in the committed baseline)"
@@ -78,17 +82,17 @@ if [ -n "$old_speedup" ] && [ -n "$new_speedup" ]; then
   else
     echo "bench_gate: WARNING — max-thread speedup dropped >25%:" \
          "${new_speedup}x vs ${old_speedup}x committed; check threads_available" \
-         "and the oversubscribed flags in $baseline" >&2
+         "and the oversubscribed flags in $fresh" >&2
   fi
 fi
 
 # Warm-start visibility: surface the recorded cold/warm iteration counts so a
 # log reader sees the adaptive-refresh win (the CI assertion lives in the
 # bench-smoke job).
-cold_iters="$(scalar "$baseline" cold_iterations || true)"
-warm_iters="$(scalar "$baseline" warm_iterations || true)"
+cold_iters="$(scalar "$fresh" cold_iterations || true)"
+warm_iters="$(scalar "$fresh" warm_iterations || true)"
 if [ -n "$cold_iters" ] && [ -n "$warm_iters" ]; then
-  echo "bench_gate: warm refresh ${warm_iters} iters vs ${cold_iters} cold"
+  echo "bench_gate: warm re-solve ${warm_iters} iters vs ${cold_iters} cold"
 fi
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,7 @@ fi
 # ---------------------------------------------------------------------------
 
 serve_baseline=BENCH_serve.json
+serve_fresh="$fresh_dir/BENCH_serve.json"
 # Strip through the key and colon before keeping digits — the key itself
 # contains digits ("v1_...") that would otherwise prefix the value.
 field() { grep -m1 "\"$2\"" "$1" | sed 's/.*: *//' | tr -cd '0-9.'; }
@@ -115,11 +120,11 @@ if [ -f "$serve_baseline" ] && grep -q '"v1_locate_req_per_s"' "$serve_baseline"
   old_v2="$(field "$serve_baseline" v2_locate_req_per_s)"
   echo "bench_gate: committed serve throughput: v1 ${old_v1} req/s, v2 ${old_v2} req/s (warn below /${threshold})"
 else
-  echo "bench_gate: no serve throughput baseline — serve_bench creates one"
+  echo "bench_gate: no committed serve throughput baseline — skipping the regression warning"
 fi
-cargo run --release -p taf-bench --bin serve_bench
-new_v1="$(field "$serve_baseline" v1_locate_req_per_s)"
-new_v2="$(field "$serve_baseline" v2_locate_req_per_s)"
+cargo run --release -p taf-bench --bin serve_bench -- --out "$serve_fresh"
+new_v1="$(field "$serve_fresh" v1_locate_req_per_s)"
+new_v2="$(field "$serve_fresh" v2_locate_req_per_s)"
 echo "bench_gate: fresh serve throughput: v1 ${new_v1} req/s, v2 ${new_v2} req/s"
 if [ -n "$old_v1" ]; then
   for proto in v1 v2; do
@@ -150,17 +155,17 @@ fi
 # batteries (shard_serving.rs, backpressure.rs).
 # ---------------------------------------------------------------------------
 
-if grep -q '"sharded"' "$serve_baseline"; then
-  sharded_rps="$(field "$serve_baseline" locate_req_per_s)"
+if grep -q '"sharded"' "$serve_fresh"; then
+  sharded_rps="$(field "$serve_fresh" locate_req_per_s)"
   echo "bench_gate: sharded serve phase present (${sharded_rps} locate req/s across shards)"
 else
-  echo "bench_gate: WARNING — $serve_baseline has no sharded many-site phase" >&2
+  echo "bench_gate: WARNING — the fresh serve run has no sharded many-site phase" >&2
 fi
 
-ingest_baseline=BENCH_ingest.json
-cargo run --release -p taf-bench --bin ingest_bench -- --quick
-if grep -q '"sharded_credit"' "$ingest_baseline"; then
-  silent="$(field "$ingest_baseline" silent_shed_fraction)"
+ingest_fresh="$fresh_dir/BENCH_ingest.json"
+cargo run --release -p taf-bench --bin ingest_bench -- --quick --out "$ingest_fresh"
+if grep -q '"sharded_credit"' "$ingest_fresh"; then
+  silent="$(field "$ingest_fresh" silent_shed_fraction)"
   if awk -v s="${silent:-1}" 'BEGIN { exit !(s <= 0.05) }'; then
     echo "bench_gate: sharded ingest OK (silent shed fraction ${silent} <= 0.05)"
   else
@@ -168,7 +173,7 @@ if grep -q '"sharded_credit"' "$ingest_baseline"; then
          "silently (expected <= 0.05)" >&2
   fi
 else
-  echo "bench_gate: WARNING — $ingest_baseline has no sharded_credit phase" >&2
+  echo "bench_gate: WARNING — the fresh ingest run has no sharded_credit phase" >&2
 fi
 
 # ---------------------------------------------------------------------------
@@ -180,8 +185,8 @@ fi
 # assertions live in crash_harness.rs / store_robustness.rs.
 # ---------------------------------------------------------------------------
 
-if grep -q '"journaled"' "$ingest_baseline"; then
-  wal_ratio="$(field "$ingest_baseline" wal_admitted_ratio_vs_sharded)"
+if grep -q '"journaled"' "$ingest_fresh"; then
+  wal_ratio="$(field "$ingest_fresh" wal_admitted_ratio_vs_sharded)"
   if awk -v r="${wal_ratio:-0}" -v t="$threshold" 'BEGIN { exit !(r * t >= 1.0) }'; then
     echo "bench_gate: journaled ingest OK (admitted rate ${wal_ratio} of unjournaled baseline, >= 1/${threshold})"
   else
@@ -189,5 +194,5 @@ if grep -q '"journaled"' "$ingest_baseline"; then
          "${wal_ratio} of the unjournaled sharded baseline (expected >= 1/${threshold})" >&2
   fi
 else
-  echo "bench_gate: WARNING — $ingest_baseline has no journaled phase" >&2
+  echo "bench_gate: WARNING — the fresh ingest run has no journaled phase" >&2
 fi
